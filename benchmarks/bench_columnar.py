@@ -1,13 +1,14 @@
-"""EXP-P5 (extension) — columnar node-query execution vs the row executor.
+"""EXP-P5 (extension) — columnar node-query execution vs the interpreter.
 
-EXP-P1 removed the per-row *interpretation* overhead; what remains in the
-row executor is per-row *dispatch* — one chained closure call per
-candidate row per conjunct.  The columnar executor
-(:meth:`repro.relational.compile.CompiledPlan.execute_columnar`) lowers
-the innermost loop level to batch kernels over the leaf table's column
-arrays (selection-vector style), which amortizes that dispatch across
-every row of the batch.  This bench measures the lowering head-to-head
-over the shapes that dominate real node-query work:
+The pushdown interpreter
+(:func:`repro.relational.query.evaluate_node_query`) pays per-row
+*interpretation* and *dispatch*: an alias→attribute dict per binding and
+a recursive AST walk per candidate row per conjunct.  A compiled plan
+(:meth:`repro.relational.compile.CompiledPlan.execute`) lowers the loop
+levels to batch kernels over the tables' column arrays (selection-vector
+style), which amortizes that work across every row of the batch.  This
+bench measures the lowering head-to-head against the interpreter over the
+shapes that dominate real node-query work:
 
 * **link-heavy anchor scans** — specialized equality and ``contains``
   kernels over wide ANCHOR tables;
@@ -22,10 +23,10 @@ over the shapes that dominate real node-query work:
 Three checks ride along (what ``--check`` gates in CI):
 
 1. row-for-row equality — for every (node-query, node-database) pair the
-   columnar pass returns exactly the row executor's rows, in order;
+   columnar pass returns exactly the interpreter's rows, in order;
 2. engine equivalence — a full :class:`WebDisEngine` run is bit-identical
-   (status, completion time, result rows in order) under
-   ``executor="columnar"`` vs ``"row"``;
+   (status, completion time, result rows in order) with
+   ``compiled_plans`` on vs off;
 3. a conservative speedup floor (CI machines are noisy; the headline
    number in ``BENCH_PERF.json`` is measured with more repeats).
 
@@ -47,7 +48,7 @@ from repro.html.generator import PageSpec, render_page
 from repro.model.database import build_documents_table, build_node_database
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal
-from repro.relational.query import NodeQuery, TableDecl
+from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.urlutils import parse_url
 from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.synthetic import synthetic_start_url
@@ -60,7 +61,14 @@ RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
 
 #: CI floor: deliberately far below the measured speedup — it catches a
 #: regression that makes the lowering pointless, not run-to-run jitter.
-CHECK_SPEEDUP_FLOOR = 1.3
+#: It was 1.3x against the retired row-at-a-time compiled executor; the
+#: interpreter took 2.47x that executor's time on these ``--smoke`` shapes
+#: (median of 8 best-of-7/9 runs), so 1.3 x 2.47 = 3.2, rounded up.
+CHECK_SPEEDUP_FLOOR = 3.3
+
+#: Full-sizing target: 2x against the row executor, scaled the same way
+#: by the full-size interpreter/row ratio (2.36): 2.0 x 2.36 = 4.72.
+FULL_TARGET = 4.8
 
 #: Engine-equivalence web (EXP-S1 family, small enough for the CI gate).
 WEB_CONFIG = SyntheticWebConfig(
@@ -229,13 +237,14 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def check_rows_identical(workloads) -> int:
-    """Row-for-row equality of columnar vs row execution; returns pairs."""
+    """Row-for-row equality of columnar execution vs the interpreter;
+    returns pairs."""
     pairs = 0
     for name, query, databases, site_documents in workloads:
         plan = compile_node_query(query)
         for database in databases:
-            expected = plan.execute(database, site_documents)
-            actual = plan.execute_columnar(database, site_documents)
+            expected = evaluate_node_query(query, database, site_documents)
+            actual = plan.execute(database, site_documents)
             assert [(r.header, r.values) for r in actual] == [
                 (r.header, r.values) for r in expected
             ], f"columnar rows diverge for {name} at {database.url}"
@@ -244,25 +253,26 @@ def check_rows_identical(workloads) -> int:
 
 
 def check_engine_identical() -> int:
-    """Full-engine bit-equality under executor="columnar" vs "row"."""
+    """Full-engine bit-equality with compiled_plans on and off."""
     runs = {}
     disql = ENGINE_QUERY.format(start=synthetic_start_url(WEB_CONFIG))
-    for executor in ("columnar", "row"):
+    for compiled in (True, False):
         engine = WebDisEngine(
             build_synthetic_web(WEB_CONFIG),
-            config=EngineConfig(executor=executor),
+            # Memo off: this gate isolates execution, not cross-query reuse.
+            config=EngineConfig(compiled_plans=compiled, cross_query_caching=False),
         )
         handle = engine.submit_disql(disql)
         done_at = engine.run()
         assert handle.status is QueryStatus.COMPLETE
-        runs[executor] = (
+        runs[compiled] = (
             handle.status,
             done_at,
             [(label, row.header, row.values) for label, row, __ in handle.results],
         )
-    assert runs["columnar"] == runs["row"], "engine results differ across executors"
-    assert runs["columnar"][2], "engine query returned no rows"
-    return len(runs["columnar"][2])
+    assert runs[True] == runs[False], "engine results differ with compiled plans"
+    assert runs[True][2], "engine query returned no rows"
+    return len(runs[True][2])
 
 
 def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
@@ -274,18 +284,17 @@ def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
 
     per_workload = []
     for name, query, databases, site_documents in workloads:
+        # Compilation lowers the plan, so timing measures execution only
+        # (production amortizes lowering the same way through the plan cache).
         plan = compile_node_query(query)
-        # Lower once up front so timing measures execution, not lowering
-        # (production amortizes it the same way through the plan cache).
-        plan.execute_columnar(databases[0], site_documents)
-        row_s = _time_best(
-            lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
+        interp_s = _time_best(
+            lambda q=query, s=site_documents: [
+                evaluate_node_query(q, db, s) for db in databases
+            ],
             repeats,
         )
         col_s = _time_best(
-            lambda p=plan, s=site_documents: [
-                p.execute_columnar(db, s) for db in databases
-            ],
+            lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
             repeats,
         )
         rows = sum(len(plan.execute(db, site_documents)) for db in databases)
@@ -293,25 +302,25 @@ def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
         per_workload.append(
             {
                 "workload": name,
-                "row_s": round(row_s, 6),
+                "interpreter_s": round(interp_s, 6),
                 "columnar_s": round(col_s, 6),
-                "speedup": round(row_s / col_s, 3),
+                "speedup": round(interp_s / col_s, 3),
                 "rows_per_pass": rows,
                 "tuples_in_leaf_dbs": scanned,
             }
         )
 
-    total_row = sum(w["row_s"] for w in per_workload)
+    total_interp = sum(w["interpreter_s"] for w in per_workload)
     total_col = sum(w["columnar_s"] for w in per_workload)
     return {
         "experiment": "EXP-P5",
-        "title": "columnar batch execution vs the row executor",
+        "title": "columnar batch execution vs the interpreter",
         "smoke": smoke,
         "repeats": repeats,
         "per_workload": per_workload,
-        "row_total_s": round(total_row, 6),
+        "interpreter_total_s": round(total_interp, 6),
         "columnar_total_s": round(total_col, 6),
-        "speedup": round(total_row / total_col, 3),
+        "speedup": round(total_interp / total_col, 3),
         "rows_identical_pairs": pairs_checked,
         "engine_identical_rows": engine_rows,
     }
@@ -321,7 +330,7 @@ def _report(result: dict) -> str:
     rows = [
         (
             w["workload"],
-            f"{w['row_s'] * 1e3:.2f}",
+            f"{w['interpreter_s'] * 1e3:.2f}",
             f"{w['columnar_s'] * 1e3:.2f}",
             f"{w['speedup']:.2f}x",
             w["rows_per_pass"],
@@ -331,21 +340,23 @@ def _report(result: dict) -> str:
     rows.append(
         (
             "TOTAL",
-            f"{result['row_total_s'] * 1e3:.2f}",
+            f"{result['interpreter_total_s'] * 1e3:.2f}",
             f"{result['columnar_total_s'] * 1e3:.2f}",
-            ratio(result["row_total_s"], result["columnar_total_s"]),
+            ratio(result["interpreter_total_s"], result["columnar_total_s"]),
             sum(w["rows_per_pass"] for w in result["per_workload"]),
         )
     )
     body = format_table(
-        ("workload", "row (ms/pass)", "columnar (ms/pass)", "speedup", "rows"), rows
+        ("workload", "interpreter (ms/pass)", "columnar (ms/pass)", "speedup", "rows"),
+        rows,
     )
     body += (
         f"\n\nbest of {result['repeats']} passes per cell"
         f"{' (smoke sizing)' if result['smoke'] else ''}"
         f"\nchecked: {result['rows_identical_pairs']} (query, database) pairs"
-        f" row-identical; engine run bit-identical"
-        f" ({result['engine_identical_rows']} result rows) across executors"
+        f" identical to the interpreter; engine run bit-identical"
+        f" ({result['engine_identical_rows']} result rows) with compiled_plans"
+        " on and off"
         "\n'small-pages' is the honesty workload: paper-sized tables where"
         " batching has little to amortize"
     )
@@ -357,11 +368,13 @@ def bench_columnar(benchmark):
     result = measure()
     _report(result)
     merge_bench_record(RESULT_PATH, "EXP-P5", result)
-    assert result["speedup"] >= 2.0, f"speedup {result['speedup']}x below 2x target"
+    assert result["speedup"] >= FULL_TARGET, (
+        f"speedup {result['speedup']}x below {FULL_TARGET}x target"
+    )
     workloads = _workloads(smoke=True)
     __, query, databases, __unused = workloads[0]
     plan = compile_node_query(query)
-    benchmark(lambda: [plan.execute_columnar(db) for db in databases])
+    benchmark(lambda: [plan.execute(db) for db in databases])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -393,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         print(
-            f"OK: {result['rows_identical_pairs']} pairs row-identical, engine"
+            f"OK: {result['rows_identical_pairs']} pairs interpreter-identical, engine"
             f" bit-identical, speedup {result['speedup']}x (floor {floor}x)"
         )
         return 0
@@ -404,8 +417,8 @@ def main(argv: list[str] | None = None) -> int:
 
     merge_bench_record(RESULT_PATH, "EXP-P5", result)
     print(f"merged EXP-P5 into {RESULT_PATH} (speedup {result['speedup']}x)")
-    if result["speedup"] < 2.0:
-        print("WARNING: below the 2x EXP-P5 target", file=sys.stderr)
+    if result["speedup"] < FULL_TARGET:
+        print(f"WARNING: below the {FULL_TARGET}x EXP-P5 target", file=sys.stderr)
         return 1
     return 0
 

@@ -11,8 +11,9 @@ conjuncts, and expands the next table — through a cached hash index on the
 join column when a usable equality join exists (``Table.index``), by batch
 scan otherwise.  Tuples materialize only at projection.
 
-This bench measures the full pipeline head-to-head against the row
-executor over the shapes EXP-P5 left on the table:
+This bench measures the full pipeline head-to-head against the pushdown
+interpreter (:func:`repro.relational.query.evaluate_node_query`) over the
+shapes EXP-P5 left on the table:
 
 * **sitewide-scan** — the multi-document leaf over a whole site's DOCUMENT
   table (paper §7.1); EXP-P5's worst case (~1.3x);
@@ -23,9 +24,9 @@ executor over the shapes EXP-P5 left on the table:
   to hash-index probes instead of nested scans.
 
 The same three checks as EXP-P5 ride along (``--check`` gates them in CI):
-row-for-row equality per (node-query, node-database) pair, full-engine
-bit-equality across ``executor="columnar"``/``"row"`` — here with a
-*joined* DISQL query so the probe path itself is covered — and a
+row-for-row equality with the interpreter per (node-query, node-database)
+pair, full-engine bit-equality with ``compiled_plans`` on vs off — here
+with a *joined* DISQL query so the probe path itself is covered — and a
 conservative speedup floor on the sitewide workload.
 
 Run directly to (re)generate ``BENCH_PERF.json`` at the repo root:
@@ -45,7 +46,7 @@ from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.model.database import build_documents_table, build_node_database
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal
-from repro.relational.query import NodeQuery, TableDecl
+from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.urlutils import parse_url
 from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.synthetic import synthetic_start_url
@@ -57,13 +58,19 @@ from harness import format_table, merge_bench_record, ratio, report  # noqa: E40
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
 
-#: CI floor on the *sitewide* workload — the shape this PR exists to fix.
-#: Deliberately far below the measured speedup; it catches a regression
-#: that makes outer-level batching pointless, not run-to-run jitter.
-CHECK_SITEWIDE_FLOOR = 1.5
+#: CI floor on the *sitewide* workload — the shape outer-level batching
+#: exists to fix.  Deliberately far below the measured speedup; it catches
+#: a regression that makes outer-level batching pointless, not run-to-run
+#: jitter.  It was 1.5x against the retired row-at-a-time compiled
+#: executor; the interpreter took 2.31x that executor's time on the
+#: ``--smoke`` sitewide shape (median of 8 best-of-7/9 runs), so
+#: 1.5 x 2.31 = 3.47, rounded up.
+CHECK_SITEWIDE_FLOOR = 3.5
 
-#: Full-run aggregate target over all workloads (ISSUE 10 acceptance).
-AGGREGATE_TARGET = 2.5
+#: Full-run aggregate target over all workloads: 2.5x against the row
+#: executor, scaled by the full-size interpreter/row ratio (2.13):
+#: 2.5 x 2.13 = 5.33, rounded up.
+AGGREGATE_TARGET = 5.4
 
 #: Engine-equivalence web — small, but the query below carries a real
 #: anchor join so the hash-probe path runs inside the full engine.
@@ -217,13 +224,14 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def check_rows_identical(workloads) -> int:
-    """Row-for-row equality of columnar vs row execution; returns pairs."""
+    """Row-for-row equality of columnar execution vs the interpreter;
+    returns pairs."""
     pairs = 0
     for name, query, databases, site_documents in workloads:
         plan = compile_node_query(query)
         for database in databases:
-            expected = plan.execute(database, site_documents)
-            actual = plan.execute_columnar(database, site_documents)
+            expected = evaluate_node_query(query, database, site_documents)
+            actual = plan.execute(database, site_documents)
             assert [(r.header, r.values) for r in actual] == [
                 (r.header, r.values) for r in expected
             ], f"columnar rows diverge for {name} at {database.url}"
@@ -232,25 +240,26 @@ def check_rows_identical(workloads) -> int:
 
 
 def check_engine_identical() -> int:
-    """Full-engine bit-equality under executor="columnar" vs "row"."""
+    """Full-engine bit-equality with compiled_plans on and off."""
     runs = {}
     disql = ENGINE_QUERY.format(start=synthetic_start_url(WEB_CONFIG))
-    for executor in ("columnar", "row"):
+    for compiled in (True, False):
         engine = WebDisEngine(
             build_synthetic_web(WEB_CONFIG),
-            config=EngineConfig(executor=executor),
+            # Memo off: this gate isolates execution, not cross-query reuse.
+            config=EngineConfig(compiled_plans=compiled, cross_query_caching=False),
         )
         handle = engine.submit_disql(disql)
         done_at = engine.run()
         assert handle.status is QueryStatus.COMPLETE
-        runs[executor] = (
+        runs[compiled] = (
             handle.status,
             done_at,
             [(label, row.header, row.values) for label, row, __ in handle.results],
         )
-    assert runs["columnar"] == runs["row"], "engine results differ across executors"
-    assert runs["columnar"][2], "engine join query returned no rows"
-    return len(runs["columnar"][2])
+    assert runs[True] == runs[False], "engine results differ with compiled plans"
+    assert runs[True][2], "engine join query returned no rows"
+    return len(runs[True][2])
 
 
 def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
@@ -262,19 +271,17 @@ def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
 
     per_workload = []
     for name, query, databases, site_documents in workloads:
+        # Compilation lowers the plan, so timing measures execution only
+        # (production amortizes lowering the same way through the plan cache).
         plan = compile_node_query(query)
-        # Lower once up front so timing measures execution, not lowering
-        # (production amortizes it the same way through the plan cache,
-        # which pre-lowers when executor="columnar").
-        plan.execute_columnar(databases[0], site_documents)
-        row_s = _time_best(
-            lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
+        interp_s = _time_best(
+            lambda q=query, s=site_documents: [
+                evaluate_node_query(q, db, s) for db in databases
+            ],
             repeats,
         )
         col_s = _time_best(
-            lambda p=plan, s=site_documents: [
-                p.execute_columnar(db, s) for db in databases
-            ],
+            lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
             repeats,
         )
         rows = sum(len(plan.execute(db, site_documents)) for db in databases)
@@ -282,25 +289,25 @@ def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
             {
                 "workload": name,
                 "levels": len(query.tables),
-                "row_s": round(row_s, 6),
+                "interpreter_s": round(interp_s, 6),
                 "columnar_s": round(col_s, 6),
-                "speedup": round(row_s / col_s, 3),
+                "speedup": round(interp_s / col_s, 3),
                 "rows_per_pass": rows,
             }
         )
 
-    total_row = sum(w["row_s"] for w in per_workload)
+    total_interp = sum(w["interpreter_s"] for w in per_workload)
     total_col = sum(w["columnar_s"] for w in per_workload)
     by_name = {w["workload"]: w for w in per_workload}
     return {
         "experiment": "EXP-P6",
-        "title": "outer-level batch joins vs the row executor",
+        "title": "outer-level batch joins vs the interpreter",
         "smoke": smoke,
         "repeats": repeats,
         "per_workload": per_workload,
-        "row_total_s": round(total_row, 6),
+        "interpreter_total_s": round(total_interp, 6),
         "columnar_total_s": round(total_col, 6),
-        "speedup": round(total_row / total_col, 3),
+        "speedup": round(total_interp / total_col, 3),
         "sitewide_speedup": by_name["sitewide-scan"]["speedup"],
         "rows_identical_pairs": pairs_checked,
         "engine_identical_rows": engine_rows,
@@ -312,7 +319,7 @@ def _report(result: dict) -> str:
         (
             w["workload"],
             w["levels"],
-            f"{w['row_s'] * 1e3:.2f}",
+            f"{w['interpreter_s'] * 1e3:.2f}",
             f"{w['columnar_s'] * 1e3:.2f}",
             f"{w['speedup']:.2f}x",
             w["rows_per_pass"],
@@ -323,24 +330,24 @@ def _report(result: dict) -> str:
         (
             "TOTAL",
             "",
-            f"{result['row_total_s'] * 1e3:.2f}",
+            f"{result['interpreter_total_s'] * 1e3:.2f}",
             f"{result['columnar_total_s'] * 1e3:.2f}",
-            ratio(result["row_total_s"], result["columnar_total_s"]),
+            ratio(result["interpreter_total_s"], result["columnar_total_s"]),
             sum(w["rows_per_pass"] for w in result["per_workload"]),
         )
     )
     body = format_table(
-        ("workload", "levels", "row (ms/pass)", "columnar (ms/pass)", "speedup",
-         "rows"),
+        ("workload", "levels", "interpreter (ms/pass)", "columnar (ms/pass)",
+         "speedup", "rows"),
         rows,
     )
     body += (
         f"\n\nbest of {result['repeats']} passes per cell"
         f"{' (smoke sizing)' if result['smoke'] else ''}"
         f"\nchecked: {result['rows_identical_pairs']} (query, database) pairs"
-        f" row-identical; engine run bit-identical"
+        f" identical to the interpreter; engine run bit-identical"
         f" ({result['engine_identical_rows']} result rows, joined query)"
-        " across executors"
+        " with compiled_plans on and off"
         "\nsitewide-scan and generic-conjunct were EXP-P5's weakest shapes;"
         "\nthe join-depth sweep rides the cached hash indexes end-to-end"
     )
@@ -358,7 +365,7 @@ def bench_outer_levels(benchmark):
     workloads = _workloads(smoke=True)
     __, query, databases, __unused = workloads[3]
     plan = compile_node_query(query)
-    benchmark(lambda: [plan.execute_columnar(db) for db in databases])
+    benchmark(lambda: [plan.execute(db) for db in databases])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -391,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         print(
-            f"OK: {result['rows_identical_pairs']} pairs row-identical, engine"
+            f"OK: {result['rows_identical_pairs']} pairs interpreter-identical, engine"
             f" bit-identical, sitewide {result['sitewide_speedup']}x"
             f" (floor {floor}x), aggregate {result['speedup']}x"
         )

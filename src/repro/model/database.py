@@ -34,13 +34,12 @@ class NodeDatabase:
 
     Databases are read-only once built, so lookup structures the hot path
     needs repeatedly — the name→relation map and the per-:class:`LinkType`
-    anchor buckets — are precomputed here instead of being rebuilt on every
-    :meth:`relation` / :meth:`outgoing_links` call.
+    forward targets — are built once instead of on every :meth:`relation` /
+    :meth:`forward_targets` call.
     """
 
     __slots__ = (
-        "url", "document", "anchor", "relinfon", "_anchors",
-        "_relations", "_links_by_type", "_forward_targets",
+        "url", "document", "anchor", "relinfon", "_anchors", "_relations", "_forward_targets",
     )
 
     def __init__(
@@ -61,10 +60,6 @@ class NodeDatabase:
             "anchor": self.anchor,
             "relinfon": self.relinfon,
         }
-        buckets: dict[LinkType, list[AnchorTuple]] = {ltype: [] for ltype in LinkType}
-        for anchor in anchors:
-            buckets[anchor.ltype].append(anchor)
-        self._links_by_type = buckets
         self._forward_targets: dict[LinkType, tuple[Url, ...]] | None = None
 
     def relation(self, name: str) -> Table:
@@ -74,27 +69,21 @@ class NodeDatabase:
         except KeyError:
             raise SchemaError(f"no virtual relation named {name!r}") from None
 
-    def outgoing_links(self, ltype: LinkType) -> list[AnchorTuple]:
-        """Anchors of the given link type; the forwarding step's input.
-
-        Returns the precomputed bucket — callers must treat it as read-only.
-        """
-        return self._links_by_type[ltype]
-
     def forward_targets(self, ltype: LinkType) -> tuple[Url, ...]:
         """Fragment-stripped destinations of the given link type.
 
-        The columnar layout's per-:class:`LinkType` anchor *selection*: the
-        forwarding step only needs where each link leads, so the hrefs are
-        materialized once per database (lazily, so row-only consumers never
-        pay) instead of re-stripping fragments per fan-out probe.  Order
-        matches :meth:`outgoing_links`.
+        The forwarding step's input: it only needs where each link leads,
+        so the hrefs are materialized once per database (lazily, so a
+        database that never forwards never pays) instead of re-stripping
+        fragments per fan-out probe.  Order is document order.
         """
         cached = self._forward_targets
         if cached is None:
+            buckets: dict[LinkType, list[Url]] = {bucket_type: [] for bucket_type in LinkType}
+            for anchor in self._anchors:
+                buckets[anchor.ltype].append(anchor.href.without_fragment())
             cached = self._forward_targets = {
-                bucket_type: tuple(a.href.without_fragment() for a in bucket)
-                for bucket_type, bucket in self._links_by_type.items()
+                bucket_type: tuple(targets) for bucket_type, targets in buckets.items()
             }
         return cached[ltype]
 
@@ -109,10 +98,6 @@ class DatabaseConstructor:
     Args:
         cache_size: number of node databases to retain (LRU).  ``0`` is the
             paper's default behaviour — construct, use, purge.
-        storage: ``"memory"`` builds plain in-memory :class:`NodeDatabase`
-            objects; ``"sqlite"`` builds them behind the same interface on
-            an sqlite store (:mod:`repro.model.storage`) for corpora that
-            should not live as Python tuples.
         stats: optional :class:`~repro.net.stats.TrafficStats` mirror for
             the hit/miss counters (``db_cache_hits`` / ``db_cache_misses``
             / ``parse_cache_hits``).
@@ -121,13 +106,9 @@ class DatabaseConstructor:
     def __init__(
         self,
         cache_size: int = 0,
-        storage: str = "memory",
         stats: "object | None" = None,
     ) -> None:
-        if storage not in ("memory", "sqlite"):
-            raise ValueError(f"unknown storage backend {storage!r}")
         self._cache_size = cache_size
-        self._storage = storage
         self._stats = stats
         self._cache: OrderedDict[Url, NodeDatabase] = OrderedDict()
         #: Parsed documents, shared *across* LRU evictions: an evicted
@@ -163,16 +144,14 @@ class DatabaseConstructor:
         else:
             parsed = parse_html(html)
             self._parsed[key] = (html, parsed)
-        database = build_node_database(
-            key, html, parsed=parsed, storage=self._storage, stats=self._stats
-        )
+        database = build_node_database(key, html, parsed=parsed, stats=self._stats)
         if self._cache_size:
             self._cache[key] = database
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return database
 
-    def cache_info(self) -> dict[str, int | str]:
+    def cache_info(self) -> dict[str, int]:
         """Snapshot of both constructor caches for introspection.
 
         ``builds`` counts actual constructions (= misses), ``cache_hits``
@@ -180,7 +159,6 @@ class DatabaseConstructor:
         that skipped tokenization thanks to the parsed-document cache.
         """
         return {
-            "storage": self._storage,
             "cache_size": self._cache_size,
             "cached_databases": len(self._cache),
             "parsed_documents": len(self._parsed),
@@ -225,15 +203,12 @@ def build_node_database(
     url: Url,
     html: str,
     parsed: ParsedDocument | None = None,
-    storage: str = "memory",
     stats: "object | None" = None,
 ) -> NodeDatabase:
     """Single-pass construction of the virtual relations for ``url``.
 
     ``parsed`` short-circuits tokenization when the caller already holds the
     parse result (the constructor's shared parsed-document cache).
-    ``storage="sqlite"`` materializes the same relations behind the sqlite
-    backend (:mod:`repro.model.storage`) instead of in-memory tables.
     ``stats`` threads the :class:`~repro.net.stats.TrafficStats` mirror down
     to the tables' join-index counters (``index_builds`` / ``index_hits``).
     """
@@ -245,10 +220,6 @@ def build_node_database(
         RelInfonTuple(delimiter=infon.delimiter, url=url, text=infon.text, length=len(infon.text))
         for infon in parsed.relinfons
     )
-    if storage == "sqlite":
-        from .storage import SqliteNodeDatabase
-
-        return SqliteNodeDatabase(url, document, anchors, relinfons, stats=stats)
     return NodeDatabase(url, document, anchors, relinfons, stats=stats)
 
 

@@ -26,22 +26,24 @@ Lazy error semantics are preserved *exactly*, not approximately.  Batch
 evaluation reorders work (conjunct-major, probe-before-filter), so the
 pipeline can hit an error the interpreter would never reach, or reach one
 late.  Evaluation is pure, so the whole pipeline is optimistic: on *any*
-exception the partial output is rolled back and the plan re-runs through
-the row executor's closure chain, reproducing the interpreter's outcome
-bit-for-bit — including which binding's which conjunct raises, or that
-nothing raises at all.  A batch that completes *cleanly* is row-identical
-by construction: every evaluation the row path performs and the batch
-skips is **provably total** (present attributes, literals, ``=``/``!=``
-and boolean combinators over them — checked at lowering time), and a hash
-probe substitutes for an equality conjunct only when
+exception the partial output is rolled back and
+:meth:`~repro.relational.compile.CompiledPlan.execute` replays the
+node-query through the interpreter
+(:func:`~repro.relational.query.evaluate_node_query`), reproducing its
+outcome bit-for-bit — including which binding's which conjunct raises, or
+that nothing raises at all.  A batch that completes *cleanly* is
+row-identical by construction: every evaluation the nested loop performs
+and the batch skips is **provably total** (present attributes, literals,
+``=``/``!=`` and boolean combinators over them — checked at lowering
+time), and a hash probe substitutes for an equality conjunct only when
 :meth:`ColumnIndex.probe` proves dict equality coincides with the
 interpreter's coerced equality for that probe value (no numeric
 number-vs-numeric-string coercion possible, hash-exact value profile).
 Any non-provable case — and any empty-probe ambiguity — degrades to a
-scan through the conjunct's own scalar closure, or to the row path
+scan through the conjunct's own scalar closure, or to the interpreter
 wholesale.
 
-Equivalence with the row executor is property-tested in
+Equivalence with the interpreter is property-tested in
 ``tests/test_columnar_executor.py`` (including hostile expressions whose
 only output *is* the error, at every plan level).
 """
@@ -86,22 +88,20 @@ def build_columnar_runner(
     select: Sequence[Attr],
     filter_plan: Sequence[Sequence[Expr]],
     scalar_filters: Sequence[tuple[_Scalar, ...]],
-    scalar_project: _Scalar,
     positions: dict[str, int],
     schemas: Sequence[Schema],
     header: tuple[str, ...],
     compile_expr: Callable[[Expr], _Scalar],
-    row_runner: Callable[[list, list, list], None],
 ) -> Callable:
     """Build the batch runner for one compiled plan.
 
     The runner signature is ``runner(env, tables, table_objs, out,
-    level_times=None)``: ``tables`` are the scanned row lists (row-runner
-    compatible — the rollback replay hands them straight to
-    ``row_runner``), ``table_objs`` the table objects behind them (for
-    ``columns()`` / ``index()``), and ``level_times`` an optional dict
-    accumulating per-level wall-clock (``level-0`` … ``leaf``) for the
-    profiling harness.
+    level_times=None)``: ``tables`` are the scanned row lists,
+    ``table_objs`` the table objects behind them (for ``columns()`` /
+    ``index()``), and ``level_times`` an optional dict accumulating
+    per-level wall-clock (``level-0`` … ``leaf``) for the profiling
+    harness.  The runner may raise where the interpreter would not (see
+    the module docstring); the caller rolls back and replays.
     """
     count = len(schemas)
     leaf = count - 1
@@ -138,40 +138,25 @@ def build_columnar_runner(
 
     def runner(
         env, tables, table_objs, out, level_times=None,
-        _stages=stage_list, _leaf_stage=leaf_stage, _fallback=row_runner,
+        _stages=stage_list, _leaf_stage=leaf_stage,
     ):
-        mark = len(out)
-        try:
-            batch: list[tuple[int, ...]] = [()]
-            if level_times is None:
-                for __, stage in _stages:
-                    batch = stage(env, tables, table_objs, batch)
-                    if not batch:
-                        return
-                _leaf_stage(env, tables, table_objs, batch, out)
-            else:
-                for name, stage in _stages:
-                    started = perf_counter()
-                    batch = stage(env, tables, table_objs, batch)
-                    level_times[name] = (
-                        level_times.get(name, 0.0) + perf_counter() - started
-                    )
-                    if not batch:
-                        return
-                started = perf_counter()
-                _leaf_stage(env, tables, table_objs, batch, out)
-                level_times["leaf"] = (
-                    level_times.get("leaf", 0.0) + perf_counter() - started
-                )
-        except Exception:
-            # Evaluation is pure: roll back this run's rows and replay the
-            # whole plan through the row executor's closures, so the error
-            # (if the interpreter raises one — it may not: the batch also
-            # evaluates probe expressions the short-circuiting row loop
-            # never reaches) surfaces at exactly the binding and conjunct
-            # the row executor reports, or the correct rows come back.
-            del out[mark:]
-            _fallback(env, tables, out)
+        batch: list[tuple[int, ...]] = [()]
+        if level_times is None:
+            for __, stage in _stages:
+                batch = stage(env, tables, table_objs, batch)
+                if not batch:
+                    return
+            _leaf_stage(env, tables, table_objs, batch, out)
+            return
+        for name, stage in _stages:
+            started = perf_counter()
+            batch = stage(env, tables, table_objs, batch)
+            level_times[name] = level_times.get(name, 0.0) + perf_counter() - started
+            if not batch:
+                return
+        started = perf_counter()
+        _leaf_stage(env, tables, table_objs, batch, out)
+        level_times["leaf"] = level_times.get("leaf", 0.0) + perf_counter() - started
 
     return runner
 
@@ -368,7 +353,7 @@ def _build_batch_filter(
         return specialized
     if width == 0:
         # Constant predicate (plan[0]): one evaluation gates the whole run,
-        # exactly like the row runner's outermost level.
+        # exactly like the interpreter's outermost level.
         def constant_filter(env, tables, table_objs, batch, _f=scalar):
             return batch if _f(env) else []
 
@@ -423,7 +408,7 @@ def _build_expand_stage(
                 return batch
         rows = tables[_d]
         if not rows:
-            # The row path never evaluates this level's join conjunct (or
+            # The nested loop never evaluates this level's join conjunct (or
             # its probe side) when the table is empty; neither may we.
             return []
         index = table_objs[_d].index(_c)
@@ -594,7 +579,7 @@ def _specialize(
         ):
             # Non-string haystacks raise out of the comprehension (ints have
             # no .lower(); bytes fail the `in`), which routes the run to the
-            # row-path replay and its EvaluationError — never a silent
+            # interpreter replay and its EvaluationError — never a silent
             # wrong answer for any type the virtual relations can hold.
             lowered = needle.value.lower()
 

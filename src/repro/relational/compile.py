@@ -16,15 +16,17 @@ That is fine for a one-shot evaluation, but a WEBDIS server evaluates the
   tuples* — column indices are resolved against the static virtual-relation
   schemas at compile time, so per-row evaluation is ``env[depth][col]``
   indexing instead of dict construction plus recursive AST dispatch;
-* the projection becomes a tuple picker over precomputed ``(depth, col)``
-  pairs;
-* the nested-loop itself is pre-built as a chain of per-depth closures.
+* the nested loop itself is lowered to a pipeline of batch operators over
+  the tables' column arrays and join-key hash indexes
+  (:mod:`repro.relational.columnar`), whose per-binding fallbacks call the
+  closures above.
 
 The compiled plan is **semantically identical** to the interpreter — same
 rows, same order, same lazily-raised errors (property-tested against
-:func:`~repro.relational.query.evaluate_node_query_naive`, the unchanged
-oracle).  Compilation is database-independent: the virtual-relation schemas
-are static, so one plan serves every node database.
+:func:`~repro.relational.query.evaluate_node_query`, which is also the
+replay target when a batch raises).  Compilation is database-independent:
+the virtual-relation schemas are static, so one plan serves every node
+database.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .expr import (
     Or,
     _coerce_pair,
 )
-from .query import NodeQuery, ResultRow, _plan_filters
+from .query import NodeQuery, ResultRow, _plan_filters, evaluate_node_query
 from .schema import Schema
 from .table import Table
 
@@ -71,36 +73,20 @@ _Compiled = Callable[[list], object]
 class CompiledPlan:
     """One node-query, lowered and ready to execute against any database.
 
-    One plan carries *both* executors: the row runner built eagerly at
-    compile time, and a columnar (batch) runner lowered lazily from the
-    same compile-time artifacts on first :meth:`execute_columnar` call.
-    Both evaluate the identical query, so plans shared through
-    :class:`~repro.core.plancache.PlanCache` amortize whichever lowering
-    the engine's ``EngineConfig.executor`` selects.
+    The plan carries the batch runner (:mod:`repro.relational.columnar`),
+    lowered once at compile time, plus the source query the rollback
+    replays through the interpreter.  Plans are pure functions of the query
+    structure, so :class:`~repro.core.plancache.PlanCache` shares one plan
+    between structurally equal node-queries.
     """
 
-    __slots__ = (
-        "query",
-        "header",
-        "cost_weight",
-        "_scan_specs",
-        "_runner",
-        "_filter_plan",
-        "_scalar_filters",
-        "_scalar_project",
-        "_positions",
-        "_columnar",
-    )
+    __slots__ = ("query", "header", "cost_weight", "_scan_specs", "_runner")
 
     def __init__(
         self,
         query: NodeQuery,
         scan_specs: tuple[tuple[str, bool, Schema], ...],
-        runner: Callable[[list, list, list], None],
-        filter_plan: tuple[tuple[Expr, ...], ...],
-        scalar_filters: tuple[tuple[_Compiled, ...], ...],
-        scalar_project: _Compiled,
-        positions: dict[str, int],
+        runner: Callable,
     ) -> None:
         self.query = query
         self.header = query.header
@@ -108,78 +94,24 @@ class CompiledPlan:
         self.cost_weight = query.cost_weight()
         self._scan_specs = scan_specs
         self._runner = runner
-        self._filter_plan = filter_plan
-        self._scalar_filters = scalar_filters
-        self._scalar_project = scalar_project
-        self._positions = positions
-        self._columnar: Callable[[list, list, tuple, list], None] | None = None
 
     def execute(
         self,
         database: "NodeDatabase",
         site_documents: Table | None = None,
-    ) -> list[ResultRow]:
-        """Evaluate against one node's relations; same contract as
-        :func:`~repro.relational.query.evaluate_node_query`."""
-        tables: list[Sequence[tuple[object, ...]]] = []
-        for relation, sitewide, schema in self._scan_specs:
-            if sitewide:
-                if site_documents is None:
-                    raise DisqlSemanticsError(
-                        f"node-query {self.query.label} needs site-wide documents "
-                        "but none were built"
-                    )
-                table = site_documents
-            else:
-                table = database.relation(relation)
-            if table.schema.attributes != schema.attributes:
-                raise SchemaError(
-                    f"table for {relation!r} does not match the compiled schema "
-                    f"{schema.attributes!r}"
-                )
-            tables.append(table.row_list())
-        results: list[ResultRow] = []
-        self._runner([None] * len(tables), tables, results)
-        return results
-
-    def lower_batch(self) -> None:
-        """Lower (and cache) the batch runner now instead of on first use.
-
-        :class:`~repro.core.plancache.PlanCache` calls this on a miss when
-        the engine runs columnar, so lowering happens once per structure at
-        compile time rather than inside the first clone's evaluation.
-        Idempotent; a pure function of the plan's compile-time artifacts.
-        """
-        if self._columnar is None:
-            schemas = [spec[2] for spec in self._scan_specs]
-            self._columnar = build_columnar_runner(
-                self.query.select,
-                self._filter_plan,
-                self._scalar_filters,
-                self._scalar_project,
-                self._positions,
-                schemas,
-                self.header,
-                compile_expr=lambda expr: _compile_expr(
-                    expr, self._positions, schemas
-                ),
-                row_runner=self._runner,
-            )
-
-    def execute_columnar(
-        self,
-        database: "NodeDatabase",
-        site_documents: Table | None = None,
         level_times: "dict[str, float] | None" = None,
     ) -> list[ResultRow]:
-        """Evaluate through the batch (columnar) executor.
+        """Evaluate against one node's relations through the batch pipeline.
 
-        Same rows, same order, same lazily-raised errors as
-        :meth:`execute` — see :mod:`repro.relational.columnar` for how the
-        equivalence is preserved.  The batch runner is lowered on first
-        use and cached on the plan (or ahead of time via
-        :meth:`lower_batch`).  ``level_times`` optionally accumulates
-        per-pipeline-stage wall-clock for the profiling harness.
+        Same contract — rows, order, lazily-raised errors — as
+        :func:`~repro.relational.query.evaluate_node_query`.  Evaluation is
+        pure, so the pipeline is optimistic: on *any* exception its partial
+        rows are dropped and the interpreter replays the node-query, which
+        either raises the error at exactly the binding and conjunct it
+        reaches first or returns the correct rows (the batch may evaluate
+        probe expressions the short-circuiting nested loop never reaches).
+        ``level_times`` optionally accumulates per-pipeline-stage
+        wall-clock for the profiling harness.
         """
         tables: list[Sequence[tuple[object, ...]]] = []
         table_objs: list[Table] = []
@@ -200,11 +132,15 @@ class CompiledPlan:
                 )
             tables.append(table.row_list())
             table_objs.append(table)
-        if self._columnar is None:
-            self.lower_batch()
         results: list[ResultRow] = []
-        self._columnar([None] * len(tables), tables, table_objs, results, level_times)
+        try:
+            self._runner([None] * len(tables), tables, table_objs, results, level_times)
+        except Exception:
+            return evaluate_node_query(self.query, database, site_documents)
         return results
+
+    # The EXP-E1 layer tracer (perfbench/layers.py) wraps this name too.
+    execute_columnar = execute
 
 
 @lru_cache(maxsize=65536)
@@ -253,120 +189,33 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
     )
     schemas = [spec[2] for spec in scan_specs]
     filter_plan = tuple(tuple(level) for level in _plan_filters(query, alias_order))
-    filters = [
+    filters = tuple(
         tuple(_compile_expr(conjunct, positions, schemas) for conjunct in level)
         for level in filter_plan
-    ]
-    project = _compile_projection(query.select, positions, schemas)
-    runner = _build_runner(len(alias_order), filters, project, query.header)
-    return CompiledPlan(
-        query, scan_specs, runner, filter_plan, tuple(filters), project, positions
     )
-
-
-# -- the nested loop, pre-built as a closure chain ----------------------------
-
-
-def _build_runner(
-    depth_count: int,
-    filters: list[tuple[_Compiled, ...]],
-    project: _Compiled,
-    header: tuple[str, ...],
-) -> Callable[[list, list, list], None]:
-    leaf_filters = filters[depth_count]
-
-    if leaf_filters:
-
-        def step(env, tables, out, _fs=leaf_filters, _p=project, _h=header):
-            for predicate in _fs:
-                if not predicate(env):
-                    return
-            out.append(ResultRow(_h, _p(env)))
-
-    else:
-
-        def step(env, tables, out, _p=project, _h=header):
-            out.append(ResultRow(_h, _p(env)))
-
-    for depth in range(depth_count - 1, -1, -1):
-        step = _make_level(depth, filters[depth], step)
-    return step
-
-
-def _make_level(
-    depth: int, level_filters: tuple[_Compiled, ...], inner: Callable
-) -> Callable[[list, list, list], None]:
-    if not level_filters:
-
-        def level(env, tables, out, _d=depth, _inner=inner):
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    elif len(level_filters) == 1:
-        predicate = level_filters[0]
-
-        def level(env, tables, out, _d=depth, _f=predicate, _inner=inner):
-            if not _f(env):
-                return
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    else:
-
-        def level(env, tables, out, _d=depth, _fs=level_filters, _inner=inner):
-            for predicate in _fs:
-                if not predicate(env):
-                    return
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    return level
+    runner = build_columnar_runner(
+        query.select,
+        filter_plan,
+        filters,
+        positions,
+        schemas,
+        query.header,
+        compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
+    )
+    return CompiledPlan(query, scan_specs, runner)
 
 
 # -- expression lowering -------------------------------------------------------
 
 
-def _compile_projection(
-    select: Sequence[Attr], positions: dict[str, int], schemas: Sequence[Schema]
-) -> _Compiled:
-    getters = tuple(_compile_attr(attr, positions, schemas, projection=True) for attr in select)
-    if len(getters) == 1:
-        getter = getters[0]
-
-        def project_one(env, _g=getter):
-            return (_g(env),)
-
-        return project_one
-
-    def project(env, _gs=getters):
-        return tuple(g(env) for g in _gs)
-
-    return project
-
-
 def _compile_attr(
-    attr: Attr,
-    positions: dict[str, int],
-    schemas: Sequence[Schema],
-    *,
-    projection: bool = False,
+    attr: Attr, positions: dict[str, int], schemas: Sequence[Schema]
 ) -> _Compiled:
     depth = positions[attr.alias]
     schema = schemas[depth]
     if attr.name not in schema:
-        # Mirror the interpreter's *lazy* failure exactly: projection raises
-        # KeyError(name) at the leaf, predicate evaluation raises
-        # EvaluationError — and neither fires unless actually reached.
-        if projection:
-
-            def missing_projection(env, _name=attr.name):
-                raise KeyError(_name)
-
-            return missing_projection
-
+        # Mirror the interpreter's *lazy* failure exactly: predicate
+        # evaluation raises EvaluationError, and only if actually reached.
         def missing_attr(env, _alias=attr.alias, _name=attr.name):
             raise EvaluationError(f"table {_alias!r} has no attribute {_name!r}")
 

@@ -33,8 +33,8 @@ def _maybe_numeric_str(text: str) -> bool:
 class ColumnIndex:
     """Hash index over one column: value → row positions, insertion-ordered.
 
-    Bucket lists preserve row order, so probing reproduces the row
-    executor's scan order exactly.  The index also profiles the column's
+    Bucket lists preserve row order, so probing reproduces the nested
+    loop's scan order exactly.  The index also profiles the column's
     value kinds, because Python ``==`` (what dict lookup uses) is only the
     interpreter's *coerced* equality when numeric coercion provably cannot
     apply: :func:`~repro.relational.expr._coerce_pair` makes ``5 = "5"``
@@ -112,7 +112,7 @@ class Table:
     data as parallel per-attribute arrays via :meth:`columns` and probes
     equality joins through per-column hash indexes via :meth:`index`; both
     are built lazily on first use and cached until the next :meth:`insert`,
-    so row-only consumers never pay for them.  ``stats`` (a
+    so the interpreter never pays for them.  ``stats`` (a
     :class:`~repro.net.stats.TrafficStats`) mirrors index reuse into the
     ``index_builds`` / ``index_hits`` counters when provided.
     """

@@ -104,13 +104,6 @@ def _candidates(spec: Spec) -> Iterator[Spec]:
         candidate = copy.deepcopy(spec)
         candidate.setdefault("config", {})["cross_query_caching"] = False
         yield candidate
-    # 1d. Fall back to the row executor: a repro that still fails
-    # row-at-a-time rules out the whole columnar lowering (kernels, batch
-    # projection, fallback machinery) as the culprit.
-    if spec.get("config", {}).get("executor", "columnar") == "columnar":
-        candidate = copy.deepcopy(spec)
-        candidate.setdefault("config", {})["executor"] = "row"
-        yield candidate
     # 2. Disable schedule jitter.
     if spec.get("schedule_seed") is not None:
         candidate = copy.deepcopy(spec)

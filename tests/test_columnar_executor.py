@@ -1,29 +1,29 @@
-"""Columnar execution (EXP-P5): batch operators, storage backends, memo bounds.
+"""Batch execution (EXP-P5/P6): the pipeline, its rollback, memo bounds.
 
-The columnar executor is a *performance* lowering — it must be
-semantically invisible, including the interpreter's lazy error semantics
-that the batch kernels reorder around.  Four property families:
+The batch pipeline is a *performance* lowering — it must be semantically
+invisible, including the lazy error semantics that the batch kernels
+reorder around.  The reference is the row-at-a-time pushdown interpreter
+(:func:`~repro.relational.query.evaluate_node_query`), which is also what
+a plan replays through when a batch raises.  Property families:
 
-* **Plan-level equivalence** — compiled plans executed columnar vs
-  row-at-a-time over safe and *hostile* grammars (mixed-type literals,
-  missing attributes): identical rows in identical order, or the same
-  error class.  This is the direct check that the optimistic-batch /
-  rollback / scalar-replay machinery reproduces short-circuit errors.
+* **Plan-level equivalence** — compiled plans vs the interpreter over safe
+  and *hostile* grammars (mixed-type literals, missing attributes) at
+  every plan level: identical rows in identical order, or the same error
+  class.  This is the direct check that the optimistic batch / rollback /
+  interpreter-replay machinery reproduces short-circuit errors.
+* **Forced rollback** — a batch that fails mid-run leaves no partial rows
+  and surfaces the interpreter's exact exception.
 * **Engine-level equivalence** — random generated webs run end to end
-  under ``executor="columnar"`` vs ``"row"``: identical statuses,
-  per-tenant distinct rows and canonical log-table snapshots, crossed
-  with the cross-query memo (whose entries must be layout-independent).
-* **Storage-backend equivalence** — the same node database materialized
-  in memory vs behind sqlite answers every plan identically under both
-  executors, and a whole engine run on ``storage_backend="sqlite"``
-  matches the in-memory run bit-for-bit.
+  with ``compiled_plans`` on vs off: identical statuses, per-tenant
+  distinct rows and canonical log-table snapshots, crossed with the
+  cross-query memo (whose entries must be layout-independent).
 * **Bounded memo / constructor caches** — LRU eviction respects
   capacity, moves the ``memo_evictions`` / ``memo_bytes_est`` gauges,
   and never changes answers; the constructor's parsed-document cache
   reports through ``cache_info()`` and ``TrafficStats``.
 
-Plus the DST wiring: the generator draws the executor knob, the runner
-threads it, and the shrinker proposes falling back to the row executor.
+Plus the DST wiring: the retired executor draw still consumes its random
+number, so every existing seed generates the same case.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from repro.model.database import (
 from repro.net.stats import TrafficStats
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal, Not, Or
-from repro.relational.query import NodeQuery, TableDecl
+from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.testing.generators import build_web, generate_case, query_texts
 from repro.testing.runner import _engine_config
-from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS
 
@@ -97,7 +96,7 @@ _ATTRS = [
 ]
 _SAFE_LITERALS = [Literal(v) for v in ("G", "L", "b", "topic", "detail", "x")]
 # Mixed-type literals and a bogus attribute: the batch kernels must fall
-# back to the exact scalar replay and surface the interpreter's own error
+# back to the interpreter replay and surface the interpreter's own error
 # class from the interpreter's own evaluation order.
 _HOSTILE_LITERALS = _SAFE_LITERALS + [Literal(5), Literal("5")]
 _BROKEN = Attr("d", "no_such_attribute")
@@ -158,7 +157,7 @@ def _query(select, where, *, tables=("document", "anchor", "relinfon"), sitewide
 
 
 def _outcome(run):
-    """Rows-in-order, or the error class: both executors must match exactly."""
+    """Rows-in-order, or the error class: both paths must match exactly."""
     try:
         return [(row.header, row.values) for row in run()]
     except EvaluationError:
@@ -167,17 +166,20 @@ def _outcome(run):
         return "key-error"
 
 
+def _interpreted(query, site_documents=None):
+    return _outcome(lambda: evaluate_node_query(query, DATABASE, site_documents))
+
+
 class TestPlanEquivalence:
-    """execute_columnar() vs execute(): same rows, same order, same errors."""
+    """execute() vs the row-at-a-time interpreter: same rows, same order,
+    same errors."""
 
     @given(_selects, _hostile_exprs)
     @settings(max_examples=300, deadline=None)
     def test_columnar_matches_row_hostile(self, select, where):
         query = _query(select, where)
         plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+        assert _outcome(lambda: plan.execute(DATABASE)) == _interpreted(query)
 
     @given(_selects, _hostile_exprs)
     @settings(max_examples=150, deadline=None)
@@ -185,8 +187,8 @@ class TestPlanEquivalence:
         query = _query(select, where, sitewide=("d",))
         plan = compile_node_query(query)
         assert _outcome(
-            lambda: plan.execute_columnar(DATABASE, SITE_DOCUMENTS)
-        ) == _outcome(lambda: plan.execute(DATABASE, SITE_DOCUMENTS))
+            lambda: plan.execute(DATABASE, SITE_DOCUMENTS)
+        ) == _interpreted(query, SITE_DOCUMENTS)
 
     @given(_d_only_exprs)
     @settings(max_examples=150, deadline=None)
@@ -198,21 +200,75 @@ class TestPlanEquivalence:
             tables=("document",),
         )
         plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+        assert _outcome(lambda: plan.execute(DATABASE)) == _interpreted(query)
 
     @given(_hostile_exprs)
     @settings(max_examples=100, deadline=None)
     def test_columnar_plan_is_reusable(self, where):
-        """The lazily-lowered runner is cached: no state leaks between runs
-        and no divergence from a fresh row execution afterwards."""
+        """The lowered runner is shared across runs: no state leaks between
+        runs and no divergence from the interpreter afterwards."""
         query = _query([Attr("a", "href")], where)
         plan = compile_node_query(query)
-        first = _outcome(lambda: plan.execute_columnar(DATABASE))
-        second = _outcome(lambda: plan.execute_columnar(DATABASE))
+        first = _outcome(lambda: plan.execute(DATABASE))
+        second = _outcome(lambda: plan.execute(DATABASE))
         assert first == second
-        assert first == _outcome(lambda: plan.execute(DATABASE))
+        assert first == _interpreted(query)
+
+
+class TestRollbackReplay:
+    """A batch that raises mid-run is rolled back and replayed through the
+    interpreter: no partial rows survive, and an error is the interpreter's
+    own exception, message included."""
+
+    @staticmethod
+    def _fail_after_partial_output(plan):
+        """Make the plan's batch runner emit its rows, then raise."""
+        runner = plan._runner
+
+        def failing(env, tables, table_objs, out, level_times=None):
+            runner(env, tables, table_objs, out, level_times)
+            out.extend(out)  # junk the rollback must discard
+            raise RuntimeError("injected batch failure")
+
+        plan._runner = failing
+
+    def test_forced_rollback_leaves_no_partial_rows(self):
+        query = _query(
+            [Attr("d", "url"), Attr("a", "href")],
+            Compare("=", Attr("a", "base"), Attr("d", "url")),
+            tables=("document", "anchor"),
+        )
+        plan = compile_node_query(query)
+        expected = evaluate_node_query(query, DATABASE)
+        assert expected  # the batch really produced rows before failing
+        self._fail_after_partial_output(plan)
+        assert plan.execute(DATABASE) == expected
+
+    def test_forced_rollback_raises_the_interpreters_exception(self):
+        # Rows bind before the bad conjunct is reached: the interpreter
+        # raises on the first anchor whose href differs from its base.
+        query = _query(
+            [Attr("a", "href")],
+            Or(
+                Compare("=", Attr("a", "href"), Attr("a", "base")),
+                Compare("<", Attr("a", "label"), Literal(5)),
+            ),
+            tables=("document", "anchor"),
+        )
+        plan = compile_node_query(query)
+        self._fail_after_partial_output(plan)
+        try:
+            evaluate_node_query(query, DATABASE)
+        except EvaluationError as error:
+            expected = (type(error), str(error))
+        else:  # pragma: no cover - the query is built to raise
+            raise AssertionError("the interpreter should raise here")
+        try:
+            plan.execute(DATABASE)
+        except EvaluationError as error:
+            assert (type(error), str(error)) == expected
+        else:
+            raise AssertionError("the replay must raise the interpreter's error")
 
 
 # -- multi-level join plans (EXP-P6) -------------------------------------------
@@ -221,7 +277,7 @@ class TestPlanEquivalence:
 # shapes the hash-probe expansion claims — mixed with conjuncts that are
 # *not* provably total (ordered compares, contains, numeric-coercion
 # literals, missing attributes at non-leaf levels), so every lowering
-# decision (probe vs scan vs wholesale row replay) gets exercised.
+# decision (probe vs scan vs wholesale interpreter replay) gets exercised.
 _BROKEN_A = Attr("a", "no_such_attribute")  # raises at a NON-leaf level
 _JOIN_POOL = [
     Compare("=", Attr("a", "base"), Attr("d", "url")),
@@ -229,7 +285,7 @@ _JOIN_POOL = [
     Compare("=", Attr("r", "url"), Attr("d", "url")),
     Compare("=", Attr("r", "url"), Attr("a", "base")),
     # int = int cross-level join: probe values are numbers, the build
-    # column is all ints — hash-safe, and must stay row-identical.
+    # column is all ints — hash-safe, and must stay interpreter-identical.
     Compare("=", Attr("d", "length"), Attr("r", "length")),
     # Constant-equality probes, including a *numeric string* constant where
     # dict lookup would diverge from coerced `=` if probed carelessly.
@@ -252,16 +308,15 @@ _join_wheres = st.lists(
 
 class TestMultiLevelJoins:
     """3+ level plans with shared join variables: the outer-level hash
-    probes and batch filters must stay row-identical, errors included."""
+    probes and batch filters must match the row-at-a-time interpreter,
+    errors included."""
 
     @given(_selects, _join_wheres)
     @settings(max_examples=200, deadline=None)
     def test_three_level_joins_match_row(self, select, where):
         query = _query(select, where)
         plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+        assert _outcome(lambda: plan.execute(DATABASE)) == _interpreted(query)
 
     @given(_selects, _join_wheres)
     @settings(max_examples=100, deadline=None)
@@ -270,8 +325,8 @@ class TestMultiLevelJoins:
         query = _query(select, where, sitewide=("d",))
         plan = compile_node_query(query)
         assert _outcome(
-            lambda: plan.execute_columnar(DATABASE, SITE_DOCUMENTS)
-        ) == _outcome(lambda: plan.execute(DATABASE, SITE_DOCUMENTS))
+            lambda: plan.execute(DATABASE, SITE_DOCUMENTS)
+        ) == _interpreted(query, SITE_DOCUMENTS)
 
     @given(_join_wheres, _join_wheres)
     @settings(max_examples=100, deadline=None)
@@ -289,9 +344,7 @@ class TestMultiLevelJoins:
             where=And(left, Compare("=", Attr("a2", "base"), Attr("a", "base"))),
         )
         plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+        assert _outcome(lambda: plan.execute(DATABASE)) == _interpreted(query)
 
     def test_join_probes_hit_the_cached_index(self):
         """The tentpole's point: an equality join is served by a cached
@@ -304,10 +357,10 @@ class TestMultiLevelJoins:
             tables=("document", "anchor"),
         )
         plan = compile_node_query(query)
-        rows = plan.execute_columnar(database)
-        assert rows == plan.execute(database)
+        rows = plan.execute(database)
+        assert rows == evaluate_node_query(query, database)
         assert stats.index_builds >= 1
-        plan.execute_columnar(database)
+        plan.execute(database)
         assert stats.index_hits >= 1
         summary = stats.summary()
         assert summary["index_builds"] == stats.index_builds
@@ -392,7 +445,7 @@ def _run_batch(web, texts, **config):
 
 
 class TestEngineEquivalence:
-    """Whole-engine runs: the executor knob changes cost, never answers."""
+    """Whole-engine runs: compiled plans change cost, never answers."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -401,109 +454,58 @@ class TestEngineEquivalence:
         web = build_web(spec)
         texts = query_texts(spec)
         runs = {}
-        for executor in ("columnar", "row"):
-            engine, handles = _run_batch(web, texts, executor=executor)
-            runs[executor] = _semantic_state(engine, handles)
-        assert runs["columnar"] == runs["row"]
+        for compiled in (True, False):
+            engine, handles = _run_batch(web, texts, compiled_plans=compiled)
+            runs[compiled] = _semantic_state(engine, handles)
+        assert runs[True] == runs[False]
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_equivalence_crossed_with_memo(self, seed):
         """Memo entries are layout-independent: a memo warmed by either
-        executor must leave answers identical to the other's."""
+        path must leave answers identical to the other's."""
         spec = generate_case(seed)
         web = build_web(spec)
         # Duplicate the main query so the memo demonstrably engages.
         texts = query_texts(spec) + [query_texts(spec)[0]]
         runs = {}
-        for executor in ("columnar", "row"):
+        for compiled in (True, False):
             engine, handles = _run_batch(
-                web, texts, executor=executor, cross_query_caching=True
+                web, texts, compiled_plans=compiled, cross_query_caching=True
             )
-            runs[executor] = _semantic_state(engine, handles)
-        assert runs["columnar"] == runs["row"]
+            runs[compiled] = _semantic_state(engine, handles)
+        assert runs[True] == runs[False]
 
     def test_campus_rows_identical(self, campus_web):
         states = {}
-        for executor in ("columnar", "row"):
+        for compiled in (True, False):
             engine, (handle,) = _run_batch(
-                campus_web, [CAMPUS_QUERY_DISQL], executor=executor
+                campus_web, [CAMPUS_QUERY_DISQL], compiled_plans=compiled
             )
             assert handle.status is QueryStatus.COMPLETE
             assert {r.values for r in handle.unique_rows("q2")} == set(
                 EXPECTED_CONVENER_ROWS
             )
-            states[executor] = _semantic_state(engine, [handle])
-        assert states["columnar"] == states["row"]
+            states[compiled] = _semantic_state(engine, [handle])
+        assert states[True] == states[False]
 
 
 class TestMemoLayoutIndependence:
     def test_columnar_rows_round_trip_through_the_memo(self):
         """Rows computed by the batch path are plain ResultRow tuples: a
-        memo entry written under one executor serves the other unchanged."""
+        memo entry written by one path serves the other unchanged."""
         query = _query(
             [Attr("d", "url"), Attr("a", "href")],
             Compare("=", Attr("a", "ltype"), Literal("G")),
             tables=("document", "anchor"),
         )
         plan = compile_node_query(query)
-        columnar = tuple(plan.execute_columnar(DATABASE))
-        row = tuple(plan.execute(DATABASE))
+        columnar = tuple(plan.execute(DATABASE))
+        row = tuple(evaluate_node_query(query, DATABASE))
         assert columnar == row
         memo = ResultMemo()
         memo.store_rows(URL, query, columnar)
         assert memo.rows_for(URL, query) == row
-
-
-# -- sqlite storage backend ----------------------------------------------------
-
-
-SQLITE_DATABASE = build_node_database(URL, _HTML, storage="sqlite")
-
-
-class TestSqliteBackend:
-    def test_relations_round_trip(self):
-        for name in ("document", "anchor", "relinfon"):
-            memory, sqlite = DATABASE.relation(name), SQLITE_DATABASE.relation(name)
-            assert memory.schema == sqlite.schema
-            assert memory.row_list() == sqlite.row_list()
-            assert memory.columns() == sqlite.columns()
-        assert DATABASE.tuple_count() == SQLITE_DATABASE.tuple_count()
-
-    def test_link_structure_round_trips(self):
-        from repro.model.relations import LinkType
-
-        for ltype in LinkType:
-            assert [
-                (a.base, a.href, a.label)
-                for a in DATABASE.outgoing_links(ltype)
-            ] == [
-                (a.base, a.href, a.label)
-                for a in SQLITE_DATABASE.outgoing_links(ltype)
-            ]
-            assert DATABASE.forward_targets(ltype) == SQLITE_DATABASE.forward_targets(
-                ltype
-            )
-
-    @given(_selects, _hostile_exprs)
-    @settings(max_examples=100, deadline=None)
-    def test_plans_blind_to_the_backend(self, select, where):
-        """executor × storage: all four combinations agree exactly."""
-        plan = compile_node_query(_query(select, where))
-        baseline = _outcome(lambda: plan.execute(DATABASE))
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == baseline
-        assert _outcome(lambda: plan.execute(SQLITE_DATABASE)) == baseline
-        assert _outcome(lambda: plan.execute_columnar(SQLITE_DATABASE)) == baseline
-
-    def test_engine_on_sqlite_matches_memory(self, campus_web):
-        states = {}
-        for backend in ("memory", "sqlite"):
-            engine, (handle,) = _run_batch(
-                campus_web, [CAMPUS_QUERY_DISQL], storage_backend=backend
-            )
-            assert handle.status is QueryStatus.COMPLETE
-            states[backend] = _semantic_state(engine, [handle])
-        assert states["memory"] == states["sqlite"]
 
 
 # -- bounded memo (S1) ---------------------------------------------------------
@@ -604,7 +606,6 @@ class TestConstructorCaches:
         constructor.construct(SIBLING, _HTML)  # evicts URL
         constructor.construct(URL, _HTML)  # rebuild, but parse-cache hit
         info = constructor.cache_info()
-        assert info["storage"] == "memory"
         assert info["cache_size"] == 1
         assert info["cached_databases"] == 1
         assert info["parsed_documents"] == 2
@@ -625,12 +626,6 @@ class TestConstructorCaches:
         # The parse cache works even with the database cache off.
         assert stats.parse_cache_hits == 1
 
-    def test_rejects_unknown_backend(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            DatabaseConstructor(storage="parquet")
-
     def test_engine_surfaces_the_counters(self, campus_web):
         engine, (handle,) = _run_batch(
             campus_web, [CAMPUS_QUERY_DISQL], db_cache_size=16
@@ -645,37 +640,31 @@ class TestConstructorCaches:
 
 
 class TestDstIntegration:
-    def test_generator_draws_both_executor_values(self):
-        draws = {
-            generate_case(seed)["config"]["executor"] for seed in range(16)
-        }
-        assert draws == {"columnar", "row"}
+    def test_retired_executor_draw_keeps_seeds_stable(self):
+        """The generator no longer draws an executor but still consumes
+        that random number: the draws after it — cross-query caching and
+        the join-depth axis — match the values pinned before retirement."""
+        cases = [generate_case(seed) for seed in range(16)]
+        assert all("executor" not in case["config"] for case in cases)
+        assert [case["query"]["anchor"] for case in cases] == [
+            True, False, False, True, False, True, False, False,
+            False, True, True, True, False, False, False, True,
+        ]
+        assert [case["config"]["cross_query_caching"] for case in cases] == [
+            True, True, False, False, True, True, True, False,
+            True, True, True, True, True, False, True, True,
+        ]
 
     def test_runner_threads_the_knob(self):
-        spec = {"seed": 0, "config": {"executor": "row"}}
-        assert _engine_config(spec, inject_bug=False).executor == "row"
+        spec = {"seed": 0, "config": {"compiled_plans": False}}
+        assert _engine_config(spec, inject_bug=False).compiled_plans is False
         # Absent (older repro files) defaults to the engine default.
         assert _engine_config(
             {"seed": 0, "config": {}}, inject_bug=False
-        ).executor == "columnar"
-
-    def test_shrinker_proposes_the_row_fallback(self):
-        spec = generate_case(3)
-        spec["config"]["executor"] = "columnar"
-        flipped = [
-            candidate
-            for candidate in _candidates(spec)
-            if candidate["config"].get("executor") == "row"
-            and {k: v for k, v in candidate["config"].items() if k != "executor"}
-            == {k: v for k, v in spec["config"].items() if k != "executor"}
-            and candidate["web"] == spec["web"]
-            and candidate["faults"] == spec["faults"]
-        ]
-        assert flipped
-        # ...and never re-fires once the executor is already row.
-        spec["config"]["executor"] = "row"
-        assert not any(
-            candidate["config"].get("executor") == "row"
-            and candidate == spec
-            for candidate in _candidates(spec)
+        ).compiled_plans is True
+        # Repro files written before the executor knob was retired still
+        # load: the stale key is ignored.
+        stale = {"seed": 0, "config": {"executor": "row"}}
+        assert _engine_config(stale, inject_bug=False) == _engine_config(
+            {"seed": 0, "config": {}}, inject_bug=False
         )

@@ -107,17 +107,14 @@ def test_figure8_invariant_under_caching_axis(campus_web, combo):
         assert handle.cht.imbalance() == 0
 
 
-# The executor seam (EXP-P5) crossed against the knobs that change *where*
-# node-queries run: the cross-query memo (columnar results must serve row
-# probes and vice versa), frontier batching (moves fan-out emission into
-# the pump, whose columnar path reads precomputed forward targets) and the
-# storage backend (both executors over both table materializations).  Two
+# The executor seam (EXP-P5): the columnar executor over in-memory tables,
+# crossed against the knobs that change *where* node-queries run: the
+# cross-query memo and frontier batching (moves fan-out emission into the
+# pump, whose columnar path reads precomputed forward targets).  Two
 # identical tenants per combo so the memo genuinely engages.
 _EXECUTOR_AXES = {
-    "executor": ("columnar", "row"),
     "cross_query_caching": (True, False),
     "frontier_batching": (True, False),
-    "storage_backend": ("memory", "sqlite"),
 }
 
 _EXECUTOR_COMBOS = [
@@ -126,7 +123,11 @@ _EXECUTOR_COMBOS = [
 ]
 
 
-@pytest.mark.parametrize("combo", _EXECUTOR_COMBOS, ids=_combo_id)
+def _executor_combo_id(combo: dict) -> str:
+    return ",".join([k for k, v in combo.items() if v is False] + ["columnar", "memory"])
+
+
+@pytest.mark.parametrize("combo", _EXECUTOR_COMBOS, ids=_executor_combo_id)
 def test_figure8_invariant_under_executor_axis(campus_web, combo):
     engine = WebDisEngine(campus_web, config=EngineConfig(**combo))
     first = engine.submit_disql(CAMPUS_QUERY_DISQL)
@@ -144,8 +145,8 @@ def test_figure8_invariant_under_executor_axis(campus_web, combo):
 # The EXP-P6 outer-level batching crossed with join depth: node-queries of
 # 1, 2 and 3 aliases — the 3-alias one carries explicit equality joins on
 # shared variables (a.base = d.url, r.url = a.base), i.e. the shapes the
-# batch pipeline lowers to hash-index probes.  Every (executor, backend)
-# cell must match the row/memory baseline's statuses and distinct rows
+# batch pipeline lowers to hash-index probes.  Compiled plans must match
+# the interpreter's (compiled_plans=False) statuses and distinct rows
 # exactly; the depth-1/2/3 queries between them cover leaf-only, one
 # expansion level and two expansion levels of the pipeline.
 _JOIN_DEPTH_QUERIES = {
@@ -169,9 +170,6 @@ where a.href != a.base
 """,
 }
 
-_JOIN_DEPTH_BASELINES: dict[int, tuple] = {}
-
-
 def _join_depth_state(campus_web, depth, **config):
     engine = WebDisEngine(campus_web, config=EngineConfig(**config))
     handle = engine.run_query(_JOIN_DEPTH_QUERIES[depth])
@@ -182,22 +180,9 @@ def _join_depth_state(campus_web, depth, **config):
 
 
 @pytest.mark.parametrize("depth", sorted(_JOIN_DEPTH_QUERIES))
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize("executor", ("columnar", "row"))
-def test_join_depth_invariant_under_executor_and_storage(
-    campus_web, executor, backend, depth
-):
-    baseline = _JOIN_DEPTH_BASELINES.get(depth)
-    if baseline is None:
-        baseline = _JOIN_DEPTH_BASELINES[depth] = _join_depth_state(
-            campus_web, depth, executor="row", storage_backend="memory"
-        )
+def test_join_depth_invariant_under_compiled_plans(campus_web, depth):
+    baseline = _join_depth_state(campus_web, depth, compiled_plans=False)
     status, rows = baseline
     assert status is QueryStatus.COMPLETE
     assert rows  # every depth's query genuinely produces rows
-    assert (
-        _join_depth_state(
-            campus_web, depth, executor=executor, storage_backend=backend
-        )
-        == baseline
-    )
+    assert _join_depth_state(campus_web, depth, compiled_plans=True) == baseline

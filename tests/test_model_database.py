@@ -53,12 +53,12 @@ class TestAnchorRelation:
         db = _db(PageSpec(title="t", links=[("x", "sibling.html")]))
         assert next(db.anchor.rows())[2] == "http://a.example/dir/sibling.html"
 
-    def test_outgoing_links_filter(self):
-        spec = PageSpec(title="t", links=[("g", "http://b.example/"), ("l", "/x")])
+    def test_forward_targets_filter(self):
+        spec = PageSpec(title="t", links=[("g", "http://b.example/"), ("l", "/x#part")])
         db = _db(spec)
-        assert len(db.outgoing_links(LinkType.GLOBAL)) == 1
-        assert len(db.outgoing_links(LinkType.LOCAL)) == 1
-        assert db.outgoing_links(LinkType.INTERIOR) == []
+        assert [str(u) for u in db.forward_targets(LinkType.GLOBAL)] == ["http://b.example/"]
+        assert [str(u) for u in db.forward_targets(LinkType.LOCAL)] == ["http://a.example/x"]
+        assert db.forward_targets(LinkType.INTERIOR) == ()
 
     def test_unresolvable_href_skipped(self):
         html = '<html><body><a href="">empty</a><a href="/ok">ok</a></body></html>'

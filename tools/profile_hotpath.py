@@ -21,15 +21,15 @@ always matches what ``BENCH_PERF.json`` measures:
   bench, evaluated with compiled plans and with the interpreter;
 * ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
   engine run with the knob on and one with it off;
-* ``p5`` — EXP-P5: the columnar workloads, one batch pass and one row
-  pass per (node-query, node-database) pair — the per-operator view, since
-  each batch kernel (specialized equality, ``contains``, the generic
-  per-row fallback) and the projector show up as distinct frames;
+* ``p5`` — EXP-P5: the columnar workloads, one batch pass per
+  (node-query, node-database) pair — the per-operator view, since each
+  batch kernel (specialized equality, ``contains``, the generic per-row
+  fallback) and the projector show up as distinct frames;
 * ``p6`` — EXP-P6: the outer-level workloads (sitewide scan, generic
-  conjunct, join-depth 2/3/4), batch and row passes per pair, with the
-  batch pass timed per pipeline level (``level-0`` … ``leaf``) through
-  ``execute_columnar(..., level_times=...)`` so a join-order or probe
-  regression is attributable to its level.
+  conjunct, join-depth 2/3/4), one batch pass per pair, timed per
+  pipeline level (``level-0`` … ``leaf``) through
+  ``execute(..., level_times=...)`` so a join-order or probe regression
+  is attributable to its level.
 
 ``--json`` emits the top-N table as machine-readable JSON (one object per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
@@ -79,7 +79,7 @@ def _p2_pass() -> None:
 
 
 def _p5_pass() -> None:
-    """One full EXP-P5 cell: every columnar workload, batch and row passes.
+    """One full EXP-P5 cell: every columnar workload, one batch pass each.
 
     Profiling this exposes the per-operator cost split: each specialized
     kernel, the generic per-row kernel and the batch projectors are
@@ -92,13 +92,12 @@ def _p5_pass() -> None:
     for __, query, databases, site_documents in _workloads(smoke=True):
         plan = compile_node_query(query)
         for database in databases:
-            plan.execute_columnar(database, site_documents)
             plan.execute(database, site_documents)
 
 
 def _p6_pass() -> dict:
-    """One full EXP-P6 cell: every outer-level workload, batch and row
-    passes — the batch pass additionally timed per pipeline level.
+    """One full EXP-P6 cell: every outer-level workload, one batch pass
+    each, timed per pipeline level.
 
     Returns ``{"level_times_s": {workload: {"level-0": s, …, "leaf": s}}}``
     (cumulative across that workload's databases), so the profile shows
@@ -113,8 +112,7 @@ def _p6_pass() -> dict:
         plan = compile_node_query(query)
         times: dict[str, float] = {}
         for database in databases:
-            plan.execute_columnar(database, site_documents, level_times=times)
-            plan.execute(database, site_documents)
+            plan.execute(database, site_documents, level_times=times)
         level_times[name] = {key: round(value, 6) for key, value in times.items()}
     return {"level_times_s": level_times}
 
