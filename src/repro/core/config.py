@@ -48,9 +48,9 @@ class EngineConfig:
     #: projection.  Rows, order and lazily-raised errors equal the
     #: interpreter's: the pipeline only skips provably total evaluations,
     #: and on any batch exception rolls back and replays the node-query
-    #: through the interpreter.  The toggle exists for the DST oracle's
-    #: cross-check of both paths and for the EXP-P1/P5/P6 benches; the
-    #: simulated cost model is the same on both.
+    #: through the interpreter.  The simulated cost model is the same on
+    #: both paths.  Kept because it is the path to the interpreter, the
+    #: reference the DST oracle and the EXP-P1/P5/P6 bench compare against.
     compiled_plans: bool = True
 
     #: Frontier-batched clone processing (EXP-P2): when a server pumps its
@@ -66,12 +66,14 @@ class EngineConfig:
     #: and message counts change.  Engages only under
     #: ``direct_result_return`` — the path-retrace alternative needs one
     #: history trail per hop, which per-hop messages carry and a combined
-    #: frontier dispatch cannot.
+    #: frontier dispatch cannot.  Kept because the paper ablations of §3.2
+    #: items 3–4 (EXP-C4) and §4.4 (EXP-X4) pin it off: frontier absorption
+    #: would hide the per-message and queueing costs they measure.
     frontier_batching: bool = True
 
     #: Cross-query result caching (EXP-P4): each server keeps a
     #: :class:`~repro.core.resultmemo.ResultMemo` of ``(node, node-query
-    #: structural hash) → rows`` and ``(node, PRE state) → forward fan-out``,
+    #: structural key) → rows`` and ``(node, PRE state) → forward fan-out``,
     #: consulted before evaluation so overlapping queries — the
     #: millions-of-users traffic shape — reuse each other's per-node work
     #: instead of re-parsing and re-evaluating the same popular pages.
@@ -82,7 +84,8 @@ class EngineConfig:
     #: (:meth:`~repro.core.resultmemo.ResultMemo.advance_epoch`) is the
     #: seam for live-web mutation.  Answers are identical with the knob on
     #: or off (hypothesis equivalence suite + DST draw it per case); only
-    #: costs change.
+    #: costs change.  Kept because off is the EXP-P4 baseline, and the
+    #: EXP-P1/P2/P3/P5/P6 benches pin it off to isolate their own claims.
     cross_query_caching: bool = True
 
     #: Ceiling on entries per server's cross-query ResultMemo (rows and
@@ -136,7 +139,8 @@ class EngineConfig:
     #: query's backlog cannot head-of-line-block other tenants; ``"fifo"``
     #: is the paper's §4.4 single sequential queue.  With a single query
     #: (or clones of only one query queued) the two are order-identical,
-    #: so single-tenant runs are unaffected by the default.
+    #: so single-tenant runs are unaffected by the default.  Kept because
+    #: ``"fifo"`` is the paper's §4.4 queue (the EXP-P3 baseline).
     scheduler: str = "fair"
     #: Work-budget per pump step: at most this many clones of one query are
     #: processed (frontier-batched or not) before the scheduler moves on to

@@ -15,7 +15,9 @@
 ``participating_sites`` restricts which sites run query-servers — sites
 outside the set refuse query connections, which the hybrid engine
 (:mod:`repro.baselines.hybrid`) uses to model the paper's Section 7.1
-migration path.
+migration path.  Everything but the clock and the transport lives in
+:class:`EngineBase`, which the socket engine
+(:class:`~repro.core.aio_engine.AsyncioWebDisEngine`) shares.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .server import QueryServer
 from .trace import Tracer
 from .webquery import WebQuery
 
-__all__ = ["WebDisEngine", "DEFAULT_USER_SITE", "build_engine"]
+__all__ = ["EngineBase", "WebDisEngine", "DEFAULT_USER_SITE", "build_engine"]
 
 DEFAULT_USER_SITE = "user.example"
 
@@ -61,8 +63,16 @@ def build_engine(web: Web, *, config: EngineConfig | None = None, **kwargs):
     )
 
 
-class WebDisEngine:
-    """One runnable WEBDIS deployment over a simulated web."""
+class EngineBase:
+    """What every WEBDIS deployment shares, whatever carries its messages.
+
+    One :class:`~repro.core.server.QueryServer` per participating site and
+    a :class:`~repro.core.client.UserSiteClient` at the user-site, wired to
+    the clock and transport a subclass builds in :meth:`_make_transport`;
+    plus submission, cancellation, crash/restart and introspection, which
+    behave the same on the simulator and on real sockets.  Subclasses add
+    how a run is driven (``run``) and how faults are injected.
+    """
 
     def __init__(
         self,
@@ -77,10 +87,9 @@ class WebDisEngine:
     ) -> None:
         self.web = web
         self.config = config if config is not None else EngineConfig()
-        self.clock = SimClock()
         self.stats = TrafficStats()
         self.tracer = Tracer(enabled=trace)
-        self.network = Network(self.clock, self.stats, net_config)
+        self.clock, self.network = self._make_transport(net_config)
         self.user_site = user_site
 
         participating = (
@@ -100,6 +109,10 @@ class WebDisEngine:
             user_site, self.network, self.clock, self.stats, self.tracer, self.config, user
         )
 
+    def _make_transport(self, net_config: NetworkConfig | None) -> tuple:
+        """The ``(clock, transport)`` pair this deployment runs on."""
+        raise NotImplementedError
+
     # -- submission ---------------------------------------------------------------
 
     def submit(self, query: WebQuery, on_result=None, on_complete=None) -> QueryHandle:
@@ -118,18 +131,6 @@ class WebDisEngine:
             compile_disql(text, search_index=search_index), on_result, on_complete
         )
 
-    # -- execution ------------------------------------------------------------------
-
-    def run(self, until: float | None = None) -> float:
-        """Drive the simulation until quiescence (or virtual time ``until``)."""
-        return self.clock.run(until)
-
-    def run_query(self, disql_text: str) -> QueryHandle:
-        """Submit DISQL and run to completion — the one-call happy path."""
-        handle = self.submit_disql(disql_text)
-        self.run()
-        return handle
-
     def cancel(self, handle: QueryHandle, at: float | None = None) -> None:
         """Cancel ``handle`` now, or schedule the cancellation at time ``at``."""
         if at is None:
@@ -142,13 +143,14 @@ class WebDisEngine:
     def crash_server(self, site: str, at: float | None = None) -> None:
         """Crash ``site``'s query-server host now (or at time ``at``).
 
-        The host goes down (connects to it return HOST_DOWN, in-flight
-        deliveries to it are lost), its sockets are dropped, and the server
-        process loses all volatile state: queue, log table, db cache and
-        pending retries.  Queries whose clones die inside the crash are
-        recovered by sender-side retries (the connect never succeeded), by
-        the client's :meth:`~repro.core.client.UserSiteClient.reforward_pending`
-        (the connect succeeded but the clone was lost), or by retraction.
+        The host goes down (connects to it fail, in-flight deliveries to it
+        are lost, and on real sockets every socket the site holds is torn
+        down), and the server process loses all volatile state: queue, log
+        table, db cache and pending retries.  Queries whose clones die
+        inside the crash are recovered by sender-side retries (the connect
+        never succeeded), by the client's
+        :meth:`~repro.core.client.UserSiteClient.reforward_pending` (the
+        connect succeeded but the clone was lost), or by retraction.
         """
         site = site.lower()
         server = self._server_or_raise(site)
@@ -162,7 +164,8 @@ class WebDisEngine:
         """Restart a crashed query-server now (or at time ``at``).
 
         The host comes back up and the server re-binds its query port with
-        a blank state — exactly what a process restart provides.
+        a blank state — exactly what a process restart provides (on real
+        sockets, a fresh port the port map re-points to).
         """
         site = site.lower()
         server = self._server_or_raise(site)
@@ -189,10 +192,6 @@ class WebDisEngine:
             raise SimulationError(f"no query-server at {site!r}")
         return server
 
-    def apply_faults(self, plan) -> None:
-        """Install a :class:`~repro.net.faults.FaultPlan` on this deployment."""
-        plan.install(self.network, self)
-
     # -- introspection -----------------------------------------------------------------
 
     def server_for(self, site: str) -> QueryServer:
@@ -200,3 +199,25 @@ class WebDisEngine:
 
     def total_log_entries(self) -> int:
         return sum(server.log_table.entry_count() for server in self.servers.values())
+
+
+class WebDisEngine(EngineBase):
+    """One runnable WEBDIS deployment over a simulated web."""
+
+    def _make_transport(self, net_config: NetworkConfig | None) -> tuple:
+        clock = SimClock()
+        return clock, Network(clock, self.stats, net_config)
+
+    def run(self, until: float | None = None) -> float:
+        """Drive the simulation until quiescence (or virtual time ``until``)."""
+        return self.clock.run(until)
+
+    def run_query(self, disql_text: str) -> QueryHandle:
+        """Submit DISQL and run to completion — the one-call happy path."""
+        handle = self.submit_disql(disql_text)
+        self.run()
+        return handle
+
+    def apply_faults(self, plan) -> None:
+        """Install a :class:`~repro.net.faults.FaultPlan` on this deployment."""
+        plan.install(self.network, self)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["TrafficStats"]
 
@@ -213,53 +213,18 @@ class TrafficStats:
         return (site, load)
 
     def summary(self) -> dict[str, object]:
-        """A flat dictionary for bench tables."""
-        return {
-            "messages": self.messages_sent,
-            "bytes": self.bytes_sent,
-            "failed_sends": self.failed_sends,
-            "frames_rejected": self.frames_rejected,
-            "refused_sends": self.refused_sends,
-            "down_sends": self.down_sends,
-            "unknown_host_sends": self.unknown_host_sends,
-            "retried_sends": self.retried_sends,
-            "retries_exhausted": self.retries_exhausted,
-            "sends_abandoned": self.sends_abandoned,
-            "overloaded_sends": self.overloaded_sends,
-            "sends_deferred": self.sends_deferred,
-            "clones_shed": self.clones_shed,
-            "queries_shed": self.queries_shed,
-            "clones_requeued": self.clones_requeued,
-            "clones_lost_in_crash": self.clones_lost_in_crash,
-            "duplicate_reports_absorbed": self.duplicate_reports_absorbed,
-            "stale_reports_absorbed": self.stale_reports_absorbed,
-            "duplicate_rows_dropped": self.duplicate_rows_dropped,
-            "clones_reforwarded": self.clones_reforwarded,
-            "queries_partial": self.queries_partial,
-            "documents_shipped": self.documents_shipped,
-            "document_bytes_shipped": self.document_bytes_shipped,
-            "documents_parsed": self.documents_parsed,
-            "node_queries_evaluated": self.node_queries_evaluated,
-            "duplicates_dropped": self.duplicates_dropped,
-            "queries_rewritten": self.queries_rewritten,
-            "clones_forwarded": self.clones_forwarded,
-            "dead_ends": self.dead_ends,
-            "local_hops": self.local_hops,
-            "frontier_batches": self.frontier_batches,
-            "frontier_clones_batched": self.frontier_clones_batched,
-            "clone_bundles_sent": self.clone_bundles_sent,
-            "clones_bundled": self.clones_bundled,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "plans_shared": self.plans_shared,
-            "residual_filters": self.residual_filters,
-            "memo_evictions": self.memo_evictions,
-            "memo_bytes_est": self.memo_bytes_est,
-            "db_cache_hits": self.db_cache_hits,
-            "db_cache_misses": self.db_cache_misses,
-            "parse_cache_hits": self.parse_cache_hits,
-            "index_builds": self.index_builds,
-            "index_hits": self.index_hits,
-            "events_saved": self.events_saved,
-            "messages_saved": self.messages_saved,
-        }
+        """A flat dictionary for bench tables: every scalar counter in field
+        order (``messages_sent``/``bytes_sent`` as ``messages``/``bytes``),
+        then the derived ``events_saved`` and ``messages_saved``."""
+        summary: dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, Counter):
+                summary[_SUMMARY_NAMES.get(f.name, f.name)] = value
+        summary["events_saved"] = self.events_saved
+        summary["messages_saved"] = self.messages_saved
+        return summary
+
+
+#: Summary keys that differ from their field names.
+_SUMMARY_NAMES = {"messages_sent": "messages", "bytes_sent": "bytes"}

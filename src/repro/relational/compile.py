@@ -31,8 +31,6 @@ database.
 
 from __future__ import annotations
 
-import hashlib
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
@@ -57,7 +55,7 @@ from .table import Table
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..model.database import NodeDatabase
 
-__all__ = ["CompiledPlan", "compile_node_query", "structural_hash", "structural_key"]
+__all__ = ["CompiledPlan", "compile_node_query", "structural_key"]
 
 _SCHEMAS = {
     "document": DOCUMENT_SCHEMA,
@@ -143,7 +141,6 @@ class CompiledPlan:
     execute_columnar = execute
 
 
-@lru_cache(maxsize=65536)
 def structural_key(query: NodeQuery) -> str:
     """The qid-independent identity of a node-query's *structure*.
 
@@ -156,22 +153,18 @@ def structural_key(query: NodeQuery) -> str:
     from the dataclass reprs (complete by construction) rather than the
     prettified ``str(query)``, so no two distinct structures can collide
     on rendering.
+
+    The key is memoized on the query object itself, so every probe of one
+    query returns the same ``str`` (whose hash CPython caches).  It is not
+    memoized by query *equality*: ``Literal(1) == Literal(True) ==
+    Literal(1.0)``, so an equality-keyed cache would hand all three queries
+    the first one's key, while their reprs differ.
     """
-    return repr((query.select, query.tables, query.where, query.sitewide_aliases))
-
-
-@lru_cache(maxsize=65536)
-def structural_hash(query: NodeQuery) -> str:
-    """Short digest of :func:`structural_key` — the cache key.
-
-    64 bits is plenty for the handful of live node-queries a server sees,
-    but consumers must still verify the full key on a hit (see
-    :class:`~repro.core.plancache.PlanCache`): a digest can collide, and a
-    collision served silently would mean wrong rows.
-    """
-    return hashlib.blake2b(
-        structural_key(query).encode("utf-8"), digest_size=8
-    ).hexdigest()
+    key = query._structural_key
+    if key is None:
+        key = repr((query.select, query.tables, query.where, query.sitewide_aliases))
+        object.__setattr__(query, "_structural_key", key)
+    return key
 
 
 def compile_node_query(query: NodeQuery) -> CompiledPlan:

@@ -13,7 +13,7 @@ test oracle the pushdown is property-checked against.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import DisqlSemanticsError, SchemaError
@@ -65,6 +65,11 @@ class NodeQuery:
     where: Expr = TRUE
     label: str = "q"
     sitewide_aliases: tuple[str, ...] = ()
+    #: Per-instance memo of :func:`~repro.relational.compile.structural_key`;
+    #: not part of equality, hashing or the repr.
+    _structural_key: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.select:

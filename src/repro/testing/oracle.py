@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from ..baselines.datashipping import DataShippingEngine
 from ..core.client import QueryHandle, QueryStatus
+from ..core.config import EngineConfig
 from .generators import Spec, build_web, query_texts
 from .invariants import Violation
 
@@ -80,7 +81,12 @@ def reference_run(spec: Spec, index: int = 0) -> Reference:
     which is what makes the multi-query comparison an isolation oracle:
     an interleaved run must match what every query computes alone.
     """
-    engine = DataShippingEngine(build_web(spec), record_journal=True)
+    # The interpreter, not compiled plans: a case that draws
+    # ``compiled_plans=True`` is then checked against an independent
+    # node-query evaluator rather than the same ``CompiledPlan.execute``.
+    engine = DataShippingEngine(
+        build_web(spec), config=EngineConfig(compiled_plans=False), record_journal=True
+    )
     result = engine.run_query(query_texts(spec)[index])
     assert result.completion_time is not None, "reference run did not quiesce"
     producers: dict[RowKey, set[str]] = {}

@@ -263,5 +263,30 @@ class TestTrafficStats:
         assert TrafficStats().max_site_load() == ("", 0.0)
 
     def test_summary_keys(self):
-        summary = TrafficStats().summary()
-        assert {"messages", "bytes", "documents_shipped", "duplicates_dropped"} <= set(summary)
+        # Derived from the dataclass fields; pinned so a new counter shows
+        # up here on purpose, and no existing key moves or disappears.
+        assert list(TrafficStats().summary()) == [
+            "messages", "bytes", "failed_sends", "frames_rejected",
+            "refused_sends", "down_sends", "unknown_host_sends", "retried_sends",
+            "retries_exhausted", "sends_abandoned", "overloaded_sends",
+            "sends_deferred", "clones_shed", "queries_shed", "clones_requeued",
+            "clones_lost_in_crash", "duplicate_reports_absorbed",
+            "stale_reports_absorbed", "duplicate_rows_dropped",
+            "clones_reforwarded", "queries_partial", "documents_shipped",
+            "document_bytes_shipped", "documents_parsed",
+            "node_queries_evaluated", "duplicates_dropped", "queries_rewritten",
+            "clones_forwarded", "dead_ends", "local_hops", "frontier_batches",
+            "frontier_clones_batched", "clone_bundles_sent", "clones_bundled",
+            "memo_hits", "memo_misses", "plans_shared", "residual_filters",
+            "memo_evictions", "memo_bytes_est", "db_cache_hits",
+            "db_cache_misses", "parse_cache_hits", "index_builds", "index_hits",
+            "events_saved", "messages_saved",
+        ]
+
+    def test_renamed_and_derived_summary_values(self):
+        stats = TrafficStats()
+        stats.record_send("a", "query", 100)
+        stats.frontier_batches, stats.frontier_clones_batched = 1, 4
+        summary = stats.summary()
+        assert (summary["messages"], summary["bytes"]) == (1, 100)
+        assert summary["events_saved"] == 6

@@ -3,8 +3,8 @@
 Covers the perf-layer invariants the benchmarks rely on:
 
 * :class:`~repro.core.plancache.PlanCache` is a bounded LRU keyed by the
-  node-query's structural hash — shared across qids, verified against the
-  full structural key on every hit (collision safety) — and a crash clears
+  node-query's full structural key — shared across qids, never shared
+  between queries whose literals differ only in type — and a crash clears
   it, so a stale plan is never served across server incarnations;
 * engine results are bit-identical with ``compiled_plans`` on and off;
 * a disabled tracer costs nothing on the hot path — zero ``record``
@@ -20,11 +20,15 @@ import pytest
 from repro import EngineConfig, WebDisEngine
 from repro.core.plancache import PlanCache
 from repro.core.processing import _fanout
+from repro.core.resultmemo import ResultMemo
 from repro.core.trace import Tracer
 from repro.core.webquery import QueryId
 from repro.disql import compile_disql
 from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, repeat
+from repro.relational.expr import Attr, Compare, Literal
+from repro.relational.query import NodeQuery, ResultRow, TableDecl
+from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
 
 QUERY = (
@@ -110,22 +114,32 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(max_size=0)
 
-    def test_hash_collision_never_serves_the_wrong_plan(self):
-        # Regression (satellite fix): force every digest to collide; the
-        # full-key verification must still hand each structure its own
-        # correct plan instead of the colliding entry's.
-        cache = PlanCache(hash_fn=lambda query: "deadbeef")
-        q1, q2 = _variant_queries(2)
-        p1 = cache.plan_for(q1)
-        p2 = cache.plan_for(q2)
-        assert cache.collisions == 1
-        assert p1 is not p2
-        assert p1.query is q1 and p2.query is q2
-        # The collision evicted q1's entry (same slot); a fresh q1 probe
-        # collides again and recompiles — correct, never silently wrong.
-        p1_again = cache.plan_for(q1)
-        assert cache.collisions == 2
-        assert p1_again.query is q1
+    def test_literal_types_get_distinct_plans_and_memo_rows(self):
+        # Literal(1) == Literal(True) == Literal(1.0), so the three queries
+        # below are equal as dataclasses; their structural keys (reprs) are
+        # not, and neither cache may hand one query another one's entry.
+        queries = [
+            NodeQuery(
+                select=(Attr("d", "url"),),
+                tables=(TableDecl("document", "d"),),
+                where=Compare("=", Attr("d", "length"), Literal(value)),
+            )
+            for value in (1, True, 1.0)
+        ]
+        assert queries[0] == queries[1] == queries[2]
+        cache = PlanCache()
+        plans = [cache.plan_for(query) for query in queries]
+        assert len(cache) == 3 and cache.hits == 0
+        assert all(plan.query is query for plan, query in zip(plans, queries))
+        assert [type(plan.query.where.right.value) for plan in plans] == [int, bool, float]
+        memo = ResultMemo()
+        node = parse_url("http://root.example/")
+        for index, query in enumerate(queries):
+            memo.store_rows(node, query, (ResultRow(query.header, (str(index),)),))
+        assert len(memo) == 3
+        assert [memo.rows_for(node, query)[0].values for query in queries] == [
+            ("0",), ("1",), ("2",)
+        ]
 
 
 class TestInvalidationAcrossIncarnations:
@@ -136,7 +150,7 @@ class TestInvalidationAcrossIncarnations:
         server = engine.server_for("root.example")
         assert len(server.plans) > 0
         pre_crash = {
-            digest: plan for digest, (__, __, plan) in server.plans._plans.items()
+            key: plan for key, (__, plan) in server.plans._plans.items()
         }
         engine.crash_server("root.example")
         assert len(server.plans) == 0
@@ -146,8 +160,8 @@ class TestInvalidationAcrossIncarnations:
         handle = engine.submit_disql(QUERY)
         engine.run()
         assert handle.results
-        for digest, (__, __, plan) in server.plans._plans.items():
-            assert pre_crash.get(digest) is not plan
+        for key, (__, plan) in server.plans._plans.items():
+            assert pre_crash.get(key) is not plan
 
     def test_engine_results_identical_with_and_without_compilation(self):
         runs = {}

@@ -42,7 +42,7 @@ from repro.net.aio import AsyncioTransport, StaticPortMap
 from repro.net.chaos import ChaosProxy, ChaosRules
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliableChannel, RetryPolicy
-from repro.testing.invariants import check_run
+from repro.testing.invariants import check_memo_coherence, check_run
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
 
@@ -623,6 +623,30 @@ class TestAsyncioEngine:
             try:
                 with pytest.raises(SimulationError, match="chaos"):
                     engine.apply_faults(FaultPlan(seed=0).drop(0.5))
+            finally:
+                await engine.aclose()
+
+        asyncio.run(main())
+
+    def test_advance_memo_epoch_invalidates_the_memo(self):
+        """The epoch seam is deployment-wide on sockets too: after a warm
+        run, one call empties every server's memo under a new version."""
+
+        async def main():
+            engine = AsyncioWebDisEngine(_small_web(), config=_retrying_config())
+            try:
+                handle = engine.submit_disql(SMALL_QUERY)
+                await engine.run([handle], timeout=30.0)
+                assert handle.status is QueryStatus.COMPLETE
+                servers = engine.servers.values()
+                assert any(len(server.memo) for server in servers)
+                versions = [server.memo.version for server in servers]
+                engine.advance_memo_epoch()
+                assert all(len(server.memo) == 0 for server in servers)
+                assert [server.memo.version for server in servers] == [
+                    version + 1 for version in versions
+                ]
+                assert check_memo_coherence(engine) == []
             finally:
                 await engine.aclose()
 

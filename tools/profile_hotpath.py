@@ -15,17 +15,18 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
 
 The workloads are imported from the benches themselves, so the profile
-always matches what ``BENCH_PERF.json`` measures:
+always matches what ``BENCH_PERF.json`` measures (``p1``, ``p5`` and
+``p6`` are the three shape groups of ``benchmarks/bench_relational.py``):
 
-* ``p1`` — EXP-P1: every (node-query, node-database) pair of the hot-path
-  bench, evaluated with compiled plans and with the interpreter;
+* ``p1`` — EXP-P1: every (node-query, node-database) pair of the group,
+  evaluated with compiled plans and with the interpreter;
 * ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
   engine run with the knob on and one with it off;
-* ``p5`` — EXP-P5: the columnar workloads, one batch pass per
+* ``p5`` — EXP-P5: the columnar shapes, one batch pass per
   (node-query, node-database) pair — the per-operator view, since each
   batch kernel (specialized equality, ``contains``, the generic per-row
   fallback) and the projector show up as distinct frames;
-* ``p6`` — EXP-P6: the outer-level workloads (sitewide scan, generic
+* ``p6`` — EXP-P6: the outer-level shapes (sitewide scan, generic
   conjunct, join-depth 2/3/4), one batch pass per pair, timed per
   pipeline level (``level-0`` … ``leaf``) through
   ``execute(..., level_times=...)`` so a join-order or probe regression
@@ -34,7 +35,7 @@ always matches what ``BENCH_PERF.json`` measures:
 ``--json`` emits the top-N table as machine-readable JSON (one object per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
 commits; the ``p6`` entry additionally carries ``level_times_s`` — per
-workload, cumulative wall-clock per pipeline level.
+shape, cumulative wall-clock per pipeline level.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ def _p1_pass() -> None:
     from repro.relational.compile import compile_node_query
     from repro.relational.query import evaluate_node_query
 
-    from bench_hotpath import _workload
+    from bench_relational import group_shapes
 
-    __, node_queries, databases = _workload()
-    for __, query in node_queries:
-        plan = compile_node_query(query)
-        for database in databases:
+    for shape in group_shapes("EXP-P1"):
+        plan = compile_node_query(shape.query)
+        for database in shape.databases:
             plan.execute(database)
-            evaluate_node_query(query, database)
+            evaluate_node_query(shape.query, database)
 
 
 def _p2_pass() -> None:
@@ -79,7 +79,7 @@ def _p2_pass() -> None:
 
 
 def _p5_pass() -> None:
-    """One full EXP-P5 cell: every columnar workload, one batch pass each.
+    """One full EXP-P5 cell: every shape of the group, one batch pass each.
 
     Profiling this exposes the per-operator cost split: each specialized
     kernel, the generic per-row kernel and the batch projectors are
@@ -87,33 +87,33 @@ def _p5_pass() -> None:
     """
     from repro.relational.compile import compile_node_query
 
-    from bench_columnar import _workloads
+    from bench_relational import group_shapes
 
-    for __, query, databases, site_documents in _workloads(smoke=True):
-        plan = compile_node_query(query)
-        for database in databases:
-            plan.execute(database, site_documents)
+    for shape in group_shapes("EXP-P5", smoke=True):
+        plan = compile_node_query(shape.query)
+        for database in shape.databases:
+            plan.execute(database, shape.site_documents)
 
 
 def _p6_pass() -> dict:
-    """One full EXP-P6 cell: every outer-level workload, one batch pass
+    """One full EXP-P6 cell: every shape of the group, one batch pass
     each, timed per pipeline level.
 
-    Returns ``{"level_times_s": {workload: {"level-0": s, …, "leaf": s}}}``
-    (cumulative across that workload's databases), so the profile shows
+    Returns ``{"level_times_s": {shape: {"level-0": s, …, "leaf": s}}}``
+    (cumulative across that shape's databases), so the profile shows
     not only *which operator* is hot but *which plan level* it ran at.
     """
     from repro.relational.compile import compile_node_query
 
-    from bench_outer_levels import _workloads
+    from bench_relational import group_shapes
 
     level_times: dict[str, dict[str, float]] = {}
-    for name, query, databases, site_documents in _workloads(smoke=True):
-        plan = compile_node_query(query)
+    for shape in group_shapes("EXP-P6", smoke=True):
+        plan = compile_node_query(shape.query)
         times: dict[str, float] = {}
-        for database in databases:
-            plan.execute(database, site_documents, level_times=times)
-        level_times[name] = {key: round(value, 6) for key, value in times.items()}
+        for database in shape.databases:
+            plan.execute(database, shape.site_documents, level_times=times)
+        level_times[shape.name] = {key: round(value, 6) for key, value in times.items()}
     return {"level_times_s": level_times}
 
 
